@@ -506,3 +506,73 @@ func TestDegradationReplayDeterministic(t *testing.T) {
 	b := runDegradationScenario(t, seed)
 	diffTraces(t, seed, a, b)
 }
+
+// runAcceptTieScenario is the accepted-connections member of the replay
+// matrix: one listener accepts several connections, so on the server
+// every connection has local port 80, and the classic timer loops walk
+// them in (local port, peer) order. Each client trickles small writes, so
+// at every fast tick the server owes a delayed ACK on all of them at once:
+// an order that broke the local-port tie by map iteration would emit those
+// ACKs in a different order from run to run.
+func runAcceptTieScenario(t *testing.T) []string {
+	t.Helper()
+	w := NewWorld(Config{Org: OrgUserLib, Net: Ethernet})
+	var frames []string
+	w.TraceFrames(func(at time.Duration, frame *pkt.Buf) {
+		h := fnv.New64a()
+		h.Write(frame.Bytes())
+		frames = append(frames, fmt.Sprintf("%d %d %016x", at, len(frame.Bytes()), h.Sum64()))
+	})
+
+	const conns = 6
+	srv := w.Node(0).App("server")
+	cli := w.Node(1).App("client")
+	drained := 0
+	srv.Go("srv", func(th *kern.Thread) {
+		l, _ := srv.Stack.Listen(th, 80, stacks.Options{})
+		for i := 0; i < conns; i++ {
+			c, err := l.Accept(th)
+			if err != nil {
+				return
+			}
+			srv.Go("sink", func(th *kern.Thread) {
+				buf := make([]byte, 256)
+				for {
+					if n, err := c.Read(th, buf); err != nil || n == 0 {
+						break
+					}
+				}
+				c.Close(th)
+				drained++
+			})
+		}
+	})
+	for i := 0; i < conns; i++ {
+		cli.GoAfter(time.Duration(i)*time.Millisecond, "cli", func(th *kern.Thread) {
+			c, err := cli.Stack.Connect(th, w.Endpoint(0, 80), stacks.Options{})
+			if err != nil {
+				return
+			}
+			for k := 0; k < 20; k++ {
+				if _, err := c.Write(th, pattern(64)); err != nil {
+					return
+				}
+				th.Sleep(50 * time.Millisecond)
+			}
+			c.Close(th)
+		})
+	}
+	w.RunUntil(time.Minute, func() bool { return drained == conns })
+	if drained != conns {
+		t.Fatalf("accept-tie scenario: %d of %d connections drained", drained, conns)
+	}
+	return frames
+}
+
+// TestAcceptedConnsReplayDeterministic requires two in-process runs of the
+// accept-tie scenario to produce the same frame trace.
+func TestAcceptedConnsReplayDeterministic(t *testing.T) {
+	a := runAcceptTieScenario(t)
+	b := runAcceptTieScenario(t)
+	diffTraces(t, 0, a, b)
+}

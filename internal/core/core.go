@@ -19,6 +19,7 @@
 package core
 
 import (
+	"bytes"
 	"hash/fnv"
 	"sort"
 	"time"
@@ -589,15 +590,25 @@ func (l *Library) reregisterAll(t *kern.Thread) bool {
 	return true
 }
 
-// sortedConns returns the live connections in local-port order, so map
-// iteration cannot perturb the deterministic schedule.
+// sortedConns returns the live connections in (local port, peer IP, peer
+// port) order, so map iteration cannot perturb the deterministic schedule.
+// Connections accepted on one listener share their local port; the peer
+// breaks the tie.
 func (l *Library) sortedConns() []*Conn {
 	out := make([]*Conn, 0, len(l.conns))
 	for c := range l.conns {
 		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		return out[i].tc.Local().Port < out[j].tc.Local().Port
+		a, b := out[i].tc, out[j].tc
+		if pa, pb := a.Local().Port, b.Local().Port; pa != pb {
+			return pa < pb
+		}
+		ra, rb := a.Peer(), b.Peer()
+		if c := bytes.Compare(ra.IP[:], rb.IP[:]); c != 0 {
+			return c < 0
+		}
+		return ra.Port < rb.Port
 	})
 	return out
 }

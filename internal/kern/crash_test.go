@@ -38,6 +38,39 @@ func TestDomainKill(t *testing.T) {
 	}
 }
 
+// A long-lived domain that spawns a short thread per request keeps only
+// its live threads: finished ones are pruned as the list fills, while
+// Kill still reaches every thread that has not finished, including one
+// spawned early and one not yet started.
+func TestDomainPrunesFinishedThreads(t *testing.T) {
+	s := sim.New()
+	h := newHost(s)
+	d := h.NewDomain("app", false)
+	survived := 0
+	d.Spawn("early", func(th *Thread) {
+		th.Sleep(time.Hour)
+		survived++
+	})
+	d.Spawn("acceptor", func(th *Thread) {
+		for i := 0; i < 1000; i++ {
+			d.Spawn("short", func(*Thread) {})
+			th.Sleep(time.Millisecond)
+		}
+		d.SpawnAfter(time.Minute, "late", func(*Thread) { survived++ })
+		th.Sleep(time.Hour)
+		survived++
+	})
+	s.Run(2 * time.Second)
+	if n := len(d.threads); n > 64 {
+		t.Fatalf("domain holds %d threads after 1000 finished, want only the live ones", n)
+	}
+	d.Kill()
+	s.Run(0)
+	if survived != 0 {
+		t.Fatalf("%d live threads escaped the kill after pruning", survived)
+	}
+}
+
 // Threads spawned into an already-dead domain never run.
 func TestSpawnIntoDeadDomain(t *testing.T) {
 	s := sim.New()

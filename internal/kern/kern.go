@@ -110,11 +110,33 @@ func (d *Domain) SpawnAfter(delay time.Duration, name string, fn func(t *Thread)
 		}
 		fn(t)
 	})
+	if len(d.threads) == cap(d.threads) {
+		d.pruneThreads()
+	}
 	d.threads = append(d.threads, t)
 	if d.dead {
 		d.Host.S.Kill(t.Proc)
 	}
 	return t
+}
+
+// pruneThreads drops finished threads from the domain's list, keeping the
+// rest in spawn order. Kill skips finished procs anyway, and a domain that
+// spawns a thread per connection must not hold every thread it ever ran.
+// It runs when the list is full; if more than half survive, the list is
+// left to grow, so pruning stays amortized O(1) per spawn.
+func (d *Domain) pruneThreads() {
+	live := d.threads[:0]
+	for _, t := range d.threads {
+		if !t.Proc.Done() {
+			live = append(live, t)
+		}
+	}
+	clear(d.threads[len(live):])
+	if 2*len(live) > cap(d.threads) {
+		live = append(make([]*Thread, 0, 2*cap(d.threads)), live...)
+	}
+	d.threads = live
 }
 
 // OnDeath registers a hook invoked when the domain is killed. The kernel

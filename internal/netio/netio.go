@@ -411,14 +411,18 @@ func (ch *Channel) notify(bus *trace.Bus) {
 	ch.sem.V()
 }
 
+// descSize is the size of one receive descriptor in a channel's shared
+// region: a 32-bit sequence number and a 32-bit frame length.
+const descSize = 8
+
 // postDescriptor writes the fixed-size receive descriptor — sequence
 // number and frame length — into the channel's shared-region ring. On the
 // zero-copy path these eight bytes are the only ones the kernel moves; the
 // frame itself stays in the pool buffer the library reads by reference.
 func (ch *Channel) postDescriptor(b *pkt.Buf) {
 	ch.posted++
-	slot := int(ch.posted%uint64(ch.cap)) * 8
-	d := ch.Region.Buf[slot : slot+8]
+	slot := int(ch.posted%uint64(ch.cap)) * descSize
+	d := ch.Region.Buf[slot : slot+descSize]
 	seq, n := uint32(ch.posted), uint32(b.Len())
 	d[0], d[1], d[2], d[3] = byte(seq>>24), byte(seq>>16), byte(seq>>8), byte(seq)
 	d[4], d[5], d[6], d[7] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
@@ -531,10 +535,6 @@ type Module struct {
 	chain     []*binding
 
 	defaultRx netdev.RxHandler
-
-	// regions records every shared region the module ever wired, so the
-	// pinned population is auditable after crashes and teardowns.
-	regions []*kern.Region
 
 	// DisableBatching makes every delivered packet post its own
 	// notification (the batching ablation; the paper observes "network
@@ -795,8 +795,23 @@ func (m *Module) createChannel(from *kern.Domain, spec *filter.Spec, match func(
 	if ringSize <= 0 {
 		ringSize = 32
 	}
+	// On the AN1 the ring is installed under the reserved (or a fresh)
+	// BQI; claim it before anything is wired, so running out of indices
+	// leaves nothing behind.
+	an1, isAN1 := m.dev.(*netdev.AN1)
+	bqi := reservedBQI
+	if isAN1 && bqi == 0 {
+		var err error
+		if bqi, err = m.allocBQI(); err != nil {
+			return nil, nil, err
+		}
+	}
+	// The shared region holds exactly what the module writes into it: the
+	// ring of fixed-size receive descriptors. It lives as long as the
+	// capability — DestroyChannel unpins it and drops the module's last
+	// reference.
 	ch := &Channel{
-		Region:   kern.NewRegion(fmt.Sprintf("%s.ch%d", m.dev.Name(), m.nextCapID), ringSize*2048),
+		Region:   kern.NewRegion(fmt.Sprintf("%s.ch%d", m.dev.Name(), m.nextCapID), ringSize*descSize),
 		sem:      kern.NewSem(m.host, "chan-sem", 0),
 		cap:      ringSize,
 		noBatch:  m.DisableBatching,
@@ -811,21 +826,10 @@ func (m *Module) createChannel(from *kern.Domain, spec *filter.Spec, match func(
 	m.nextCapID++
 	ch.id = cap.id
 	m.caps[cap.id] = cap
-	m.regions = append(m.regions, ch.Region)
 
-	if an1, ok := m.dev.(*netdev.AN1); ok {
-		// Hardware demultiplexing: install the ring under the reserved (or
-		// a fresh) BQI.
-		ch.bqi = reservedBQI
-		if ch.bqi == 0 {
-			bqi, err := m.allocBQI()
-			if err != nil {
-				delete(m.caps, cap.id)
-				ch.Region.Unpin()
-				return nil, nil, err
-			}
-			ch.bqi = bqi
-		}
+	if isAN1 {
+		// Hardware demultiplexing.
+		ch.bqi = bqi
 		an1.InstallRing(ch.bqi, ringSize, func(b *pkt.Buf) {
 			m.DemuxMatched++
 			if m.Bus.Enabled() {
@@ -1100,11 +1104,14 @@ func (m *Module) LiveCapabilities(owner *kern.Domain) int {
 	return n
 }
 
-// PinnedRegions counts shared regions still wired.
+// PinnedRegions counts shared regions still wired. A region is unpinned
+// only as its capability is revoked, so walking the live capabilities
+// sees every wired region; crash and teardown audits require this to
+// equal LiveCapabilities(nil).
 func (m *Module) PinnedRegions() int {
 	n := 0
-	for _, r := range m.regions {
-		if r.Pinned() {
+	for _, cap := range m.caps {
+		if cap.ch.Region.Pinned() {
 			n++
 		}
 	}

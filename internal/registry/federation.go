@@ -457,6 +457,17 @@ func (f *Federation) DedupHits() int {
 	return n
 }
 
+// DedupEntries sums dedup-cache entries across live shards.
+func (f *Federation) DedupEntries() int {
+	n := 0
+	for i, sh := range f.shards {
+		if f.live[i] {
+			n += sh.DedupEntries()
+		}
+	}
+	return n
+}
+
 // ReRegistered sums migrated/re-adopted connections across shards.
 func (f *Federation) ReRegistered() int {
 	n := 0

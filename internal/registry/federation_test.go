@@ -271,7 +271,7 @@ func TestFederationDeadShardStrayDropsNotRST(t *testing.T) {
 }
 
 // Regression (stale-state bug #1): the dedup cache must never evict an
-// in-flight entry. Pre-fix, FIFO eviction past dedupCap dropped the oldest
+// in-flight entry. Pre-fix, FIFO eviction past DedupCap dropped the oldest
 // entry unconditionally; a retry of a still-running connect then
 // re-executed it — a second ephemeral port and a second handshake for one
 // logical open. The flood here completes >cap requests while one connect
@@ -293,11 +293,11 @@ func TestDedupNeverEvictsInFlight(t *testing.T) {
 		t.Fatalf("stalled connect not in flight: owned=%d", rg.r1.OwnedConns())
 	}
 
-	// Flood the cache with dedupCap+50 completed requests (idempotent
+	// Flood the cache with DedupCap+50 completed requests (idempotent
 	// unlistens of a port nobody holds).
 	flooded := false
 	rg.apps[1].Spawn("flood", func(th *kern.Thread) {
-		for i := 0; i < dedupCap+50; i++ {
+		for i := 0; i < DedupCap+50; i++ {
 			rg.r1.Svc.Call(th, kern.Msg{Op: "unlisten", ID: uint64(10000 + i),
 				Body: UnlistenReq{Port: 9999}})
 		}

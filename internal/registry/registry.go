@@ -194,13 +194,14 @@ type Server struct {
 	// state from the module before serving requests.
 	rebuildPending bool
 
-	// reqCache deduplicates control-plane requests by Msg.ID, bounded FIFO
-	// (reqOrder). A retried request whose original reply was lost replays
-	// the cached reply instead of executing twice; a retry racing an
-	// in-flight connect retargets the eventual handoff to the new reply
-	// port.
-	reqCache map[uint64]*pendingReq
-	reqOrder []uint64
+	// reqCache deduplicates control-plane requests by Msg.ID. A retried
+	// request whose original reply was lost replays the cached reply
+	// instead of executing twice; a retry racing an in-flight connect
+	// retargets the eventual handoff to the new reply port. doneOrder
+	// lists completed ids oldest first: past DedupCap, eviction pops from
+	// its head, so in-flight entries are never evicted and no scan runs.
+	reqCache  map[uint64]*pendingReq
+	doneOrder []uint64
 
 	// Counters (introspection and stats).
 	synDrops     int // SYNs dropped by a full listen backlog
@@ -282,8 +283,9 @@ const (
 	// application does not set Options.Backlog.
 	DefaultBacklog = 16
 
-	// dedupCap bounds the request-ID cache (FIFO eviction).
-	dedupCap = 512
+	// DedupCap bounds the request-ID cache: past it, track evicts the
+	// oldest completed entries.
+	DedupCap = 512
 )
 
 // New starts a registry server over a host's network I/O module.
@@ -514,8 +516,10 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 		r.handleUnlisten(t, m, req)
 	case InheritReq:
 		r.handleInherit(t, req)
+		r.finish(t, m, kern.Msg{})
 	case TeardownReq:
 		r.handleTeardown(t, req)
+		r.finish(t, m, kern.Msg{})
 	case ReRegisterReq:
 		r.handleReRegister(t, m, req)
 	case BindUDPReq:
@@ -529,36 +533,40 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 	}
 }
 
-// track inserts an empty dedup entry for a request id, evicting the oldest
-// *completed* entry beyond the cache bound. An entry whose reply is not yet
-// cached is never evicted: dropping it would let a retry of that request
-// re-execute a non-idempotent connect — a second port allocation and a
-// second handshake for one logical open. If every tracked entry is still in
-// flight the cache grows past dedupCap temporarily; the admission layer
-// bounds how many setups can be outstanding at once.
+// track inserts an empty dedup entry for a request id. At the cache bound
+// it first evicts the oldest *completed* entries. An entry whose reply is
+// not yet cached is never evicted: dropping it would let a retry of that
+// request re-execute a non-idempotent connect — a second port allocation
+// and a second handshake for one logical open. If every tracked entry is
+// still in flight the cache grows past DedupCap temporarily; the admission
+// layer bounds how many setups can be outstanding at once.
 func (r *Server) track(id uint64) {
-	if len(r.reqOrder) >= dedupCap {
-		for i, old := range r.reqOrder {
-			if e, ok := r.reqCache[old]; !ok || e.done {
-				delete(r.reqCache, old)
-				r.reqOrder = append(r.reqOrder[:i], r.reqOrder[i+1:]...)
-				break
-			}
-		}
+	for len(r.reqCache) >= DedupCap && len(r.doneOrder) > 0 {
+		delete(r.reqCache, r.doneOrder[0])
+		r.doneOrder = r.doneOrder[1:]
 	}
 	r.reqCache[id] = &pendingReq{}
-	r.reqOrder = append(r.reqOrder, id)
+}
+
+// complete caches a request's reply in its dedup entry; the first
+// completion queues the id for eviction.
+func (r *Server) complete(id uint64, reply kern.Msg) {
+	if id == 0 {
+		return
+	}
+	if e, ok := r.reqCache[id]; ok {
+		if !e.done {
+			r.doneOrder = append(r.doneOrder, id)
+		}
+		e.done, e.reply, e.hc = true, reply, nil
+	}
 }
 
 // finish records a request's reply in the dedup cache and delivers it.
 // One-way requests (nil Reply) are still recorded so a duplicate does not
 // re-execute (a double Teardown would double-release a port).
 func (r *Server) finish(t *kern.Thread, m kern.Msg, reply kern.Msg) {
-	if m.ID != 0 {
-		if e, ok := r.reqCache[m.ID]; ok {
-			e.done, e.reply, e.hc = true, reply, nil
-		}
-	}
+	r.complete(m.ID, reply)
 	if m.Reply != nil {
 		m.ReplyTo(t, reply)
 	}
@@ -567,11 +575,7 @@ func (r *Server) finish(t *kern.Thread, m kern.Msg, reply kern.Msg) {
 // finishAsync is finish for replies produced outside the service loop (the
 // handoff sent by the established/closed callbacks).
 func (r *Server) finishAsync(reqID uint64, target *kern.Port, reply kern.Msg) {
-	if reqID != 0 {
-		if e, ok := r.reqCache[reqID]; ok {
-			e.done, e.reply, e.hc = true, reply, nil
-		}
-	}
+	r.complete(reqID, reply)
 	if target != nil {
 		target.SendAsync(reply)
 	}
@@ -1281,6 +1285,10 @@ func (r *Server) SynDrops() int { return r.synDrops }
 // DedupHits returns duplicate control-plane requests answered from the
 // request-ID cache instead of being re-executed.
 func (r *Server) DedupHits() int { return r.dedupHits }
+
+// DedupEntries returns how many request ids the dedup cache holds. It is
+// bounded by DedupCap plus the requests still in flight.
+func (r *Server) DedupEntries() int { return len(r.reqCache) }
 
 // ReRegistered returns connections re-adopted after a restart.
 func (r *Server) ReRegistered() int { return r.reregistered }
