@@ -7,15 +7,21 @@ import (
 
 // Proc is a simulated thread of control: a goroutine that the engine runs
 // one-at-a-time. Code inside a proc may block using the proc's primitives
-// (Sleep, Semaphore.P, Queue.Pop, ...); blocking hands control back to the
-// engine, which advances virtual time and resumes whichever proc or event
-// is next.
+// (Sleep, Semaphore.P, Queue.Pop, ...); blocking runs the event loop on the
+// proc's own goroutine, which advances virtual time until it reaches the
+// next proc to resume.
 type Proc struct {
 	s      *Sim
 	name   string
 	wake   chan struct{}
 	done   bool
 	killed bool
+
+	// State of the proc's current Cond.WaitUntil (a proc waits on one
+	// thing at a time), kept here so a timed wait allocates nothing.
+	// timedOut shares the word after done and killed.
+	timedOut bool
+	waitCond *Cond
 }
 
 // Name returns the debug name given at spawn time.
@@ -39,12 +45,13 @@ func (s *Sim) SpawnAfter(d Dur, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{s: s, name: name, wake: make(chan struct{})}
 	s.nprocs++
 	go func() {
-		// The final park runs from a defer so it executes even when the
-		// proc is torn down abruptly (Kill unwinds via runtime.Goexit).
+		// The final handoff runs from a defer so it executes even when
+		// the proc is torn down abruptly (Kill unwinds via runtime.Goexit).
 		defer func() {
 			p.done = true
 			s.nprocs--
-			s.parked <- struct{}{} // return control to engine
+			s.current = nil
+			s.handoff(s.loop())
 		}()
 		<-p.wake // wait for first resume
 		if p.killed {
@@ -84,29 +91,22 @@ func (p *Proc) Killed() bool { return p.killed }
 // Done reports whether the proc has finished (returned or been killed).
 func (p *Proc) Done() bool { return p.done }
 
-// resume transfers control from the engine (or the currently running event
-// callback) to p, and blocks until p parks again. It must only be called
-// from engine context (an event callback), never from inside another proc.
-func (s *Sim) resume(p *Proc) {
-	if p.done {
-		return
-	}
-	prev := s.current
-	s.current = p
-	p.wake <- struct{}{}
-	<-s.parked
-	s.current = prev
-}
-
-// park returns control to the engine and blocks the proc until it is next
-// resumed. A proc killed while parked unwinds here instead of returning to
-// its user code (the spawn defer performs the final park bookkeeping).
+// park gives up control and blocks the proc until it is next resumed. The
+// proc's goroutine runs the event loop itself: if the next proc to resume
+// is this one, park returns without any goroutine switch; otherwise it
+// hands control on and waits on its own wake channel. A proc killed while
+// parked unwinds here instead of returning to its user code (the spawn
+// defer performs the final handoff).
 func (p *Proc) park() {
 	if p.killed {
 		runtime.Goexit() // self-kill: die at the blocking point
 	}
-	p.s.parked <- struct{}{}
-	<-p.wake
+	s := p.s
+	s.current = nil
+	if next := s.loop(); next != p {
+		s.handoff(next)
+		<-p.wake
+	}
 	if p.killed {
 		runtime.Goexit()
 	}

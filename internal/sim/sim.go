@@ -2,20 +2,26 @@
 //
 // The engine owns a virtual clock (nanosecond resolution) and an event heap
 // ordered by (time, sequence). Simulated threads of control ("procs") are
-// ordinary goroutines that the engine runs strictly one at a time: the engine
-// resumes a proc and then blocks until the proc parks again (by sleeping,
-// waiting on a semaphore, popping an empty queue, and so on). This yields
-// fully sequential semantics — protocol and application code can be written
-// in a natural blocking style with no data races and no wall-clock
-// dependence — while the (time, seq) ordering makes every run reproducible.
+// ordinary goroutines that run strictly one at a time. There is no separate
+// engine goroutine: the event loop runs on whichever goroutine holds
+// control. When a proc parks (by sleeping, waiting on a semaphore, popping
+// an empty queue, and so on) its own goroutine runs the loop until an event
+// resumes a proc. If that proc is itself, it simply carries on; otherwise it
+// hands control to that proc's goroutine with one channel send and blocks
+// until it is resumed in turn. When the run ends, control returns to the
+// Run caller the same way. This yields fully sequential semantics —
+// protocol and application code can be written in a natural blocking style
+// with no data races and no wall-clock dependence — while the (time, seq)
+// ordering makes every run reproducible.
 //
 // The engine is built for wall-clock speed as well as determinism: event
 // records live on an internal free list (no allocation per scheduled event),
 // the ready queue is a flat 4-ary array heap (no container/heap interface
 // dispatch, better cache behaviour than a binary pointer heap), cancelled
 // timers are removed eagerly rather than left to surface at their deadline,
-// and the hot schedulings (proc resume, argument-carrying callbacks) avoid
-// closure allocations entirely.
+// the hot schedulings (proc resume, argument-carrying callbacks) avoid
+// closure allocations entirely, and a resume costs at most one goroutine
+// switch.
 package sim
 
 import (
@@ -81,10 +87,18 @@ type Sim struct {
 	heap    []heapEnt
 	records []event
 	free    []int32       // free-list of record slots (LIFO)
-	parked  chan struct{} // proc -> engine: "I have parked"
-	current *Proc
-	nprocs  int // live procs (started, not yet finished)
+	done    chan struct{} // loop -> Run caller: "the run has ended"
+	current *Proc         // the proc holding control; nil while the loop runs
+	nprocs  int           // live procs (started, not yet finished)
 	stopped bool
+
+	// The current run's bounds, set by RunUntil and read by every loop.
+	end  Time
+	pred func() bool
+
+	// direct is a proc an event callback asked to run as soon as the
+	// callback returns, before any other event (see Cond.WaitUntil).
+	direct *Proc
 
 	// Counters (diagnostics only; never consulted by the engine).
 	fired     int64
@@ -100,7 +114,7 @@ func (s *Sim) Counters() (fired, cancelled int64, maxHeap int) {
 
 // New creates an empty simulation at time zero.
 func New() *Sim {
-	return &Sim{parked: make(chan struct{})}
+	return &Sim{done: make(chan struct{})}
 }
 
 // Now returns the current virtual time.
@@ -310,23 +324,53 @@ func (s *Sim) scheduleResume(d Dur, p *Proc) {
 // completes. Pending events are discarded.
 func (s *Sim) Stop() { s.stopped = true }
 
-// fire pops the root event and executes it.
-func (s *Sim) fire() {
-	s.fired++
-	rec := s.heap[0].rec
-	s.heapRemove(0)
-	e := &s.records[rec]
-	s.now = e.at
-	fn, fnArg, arg, proc := e.fn, e.fnArg, e.arg, e.proc
-	s.release(rec)
-	switch {
-	case proc != nil:
-		s.resume(proc)
-	case fnArg != nil:
-		fnArg(arg)
-	default:
-		fn()
+// loop executes events until one resumes a live proc, which it makes
+// current and returns, or until the run ends (Stop, the predicate, an empty
+// heap or the time limit), when it returns nil. A resume event is not
+// executed in place: the loop returns its proc so the caller can hand
+// control over, as it does a proc a callback named to run next (direct).
+// The loop runs on whichever goroutine holds control: the Run caller, a
+// parking proc, or a finishing one.
+func (s *Sim) loop() *Proc {
+	end, pred := s.end, s.pred
+	for !s.stopped && (pred == nil || !pred()) && len(s.heap) > 0 {
+		if s.heap[0].at > end {
+			s.now = end
+			break
+		}
+		s.fired++
+		rec := s.heap[0].rec
+		s.heapRemove(0)
+		e := &s.records[rec]
+		s.now = e.at
+		fn, fnArg, arg, p := e.fn, e.fnArg, e.arg, e.proc
+		s.release(rec)
+		if p == nil {
+			if fnArg != nil {
+				fnArg(arg)
+			} else {
+				fn()
+			}
+			if p = s.direct; p != nil {
+				s.direct = nil
+			}
+		}
+		if p != nil && !p.done {
+			s.current = p
+			return p
+		}
 	}
+	return nil
+}
+
+// handoff passes control to next, the result of loop: to its goroutine, or
+// back to the Run caller when the run has ended. It does not block.
+func (s *Sim) handoff(next *Proc) {
+	if next == nil {
+		s.done <- struct{}{}
+		return
+	}
+	next.wake <- struct{}{}
 }
 
 // Run executes events until the heap is empty, the time limit is exceeded,
@@ -335,36 +379,21 @@ func (s *Sim) fire() {
 //
 // Procs that are still blocked when Run returns remain parked; a subsequent
 // Run continues the simulation.
-func (s *Sim) Run(limit Dur) Time {
-	end := Time(1<<62 - 1)
-	if limit > 0 {
-		end = s.now.Add(limit)
-	}
-	s.stopped = false
-	for !s.stopped && len(s.heap) > 0 {
-		if s.heap[0].at > end {
-			s.now = end
-			break
-		}
-		s.fire()
-	}
-	return s.now
-}
+func (s *Sim) Run(limit Dur) Time { return s.RunUntil(limit, nil) }
 
 // RunUntil executes events until pred() returns true (checked after every
-// event), the heap drains, or the time limit passes.
+// event and proc step), the heap drains, or the time limit passes. A nil
+// pred never stops the run.
 func (s *Sim) RunUntil(limit Dur, pred func() bool) Time {
-	end := Time(1<<62 - 1)
+	s.end = Time(1<<62 - 1)
 	if limit > 0 {
-		end = s.now.Add(limit)
+		s.end = s.now.Add(limit)
 	}
+	s.pred = pred
 	s.stopped = false
-	for !s.stopped && !pred() && len(s.heap) > 0 {
-		if s.heap[0].at > end {
-			s.now = end
-			break
-		}
-		s.fire()
+	if p := s.loop(); p != nil {
+		s.handoff(p)
+		<-s.done
 	}
 	return s.now
 }

@@ -43,8 +43,7 @@ func (m *Semaphore) TryP() bool {
 func (m *Semaphore) V() {
 	m.signals++
 	for len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
+		w := popFront(&m.waiters)
 		if w.done || w.killed {
 			continue
 		}
@@ -52,6 +51,19 @@ func (m *Semaphore) V() {
 		return
 	}
 	m.count++
+}
+
+// popFront removes and returns the first waiter. Taking the last one
+// rewinds the slice to the start of its backing array, so a list that holds
+// one waiter at a time never reallocates.
+func popFront(ws *[]*Proc) *Proc {
+	w := (*ws)[0]
+	if len(*ws) == 1 {
+		*ws = (*ws)[:0]
+	} else {
+		*ws = (*ws)[1:]
+	}
+	return w
 }
 
 // Count returns the current count (pending wakeups excluded).
@@ -87,8 +99,7 @@ func (c *Cond) Wait(p *Proc) {
 // are skipped.
 func (c *Cond) Signal() {
 	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
+		w := popFront(&c.waiters)
 		if w.done || w.killed {
 			continue
 		}
@@ -130,20 +141,27 @@ func (c *Cond) WaitUntil(p *Proc, deadline Time) bool {
 		return false
 	}
 	c.waiters = append(c.waiters, p)
-	timedOut := false
-	timer := c.s.At(deadline, func() {
-		// Only fire if no Signal claimed the proc first: Signal removes
-		// the waiter synchronously, so membership decides the winner.
-		if c.remove(p) {
-			timedOut = true
-			c.s.resume(p)
-		}
-	})
+	p.waitCond = c
+	p.timedOut = false
+	timer := c.s.AtArg(deadline, waitTimeout, p)
 	p.park()
-	if !timedOut {
-		timer.Cancel()
+	if p.timedOut {
+		return false
 	}
-	return !timedOut
+	timer.Cancel()
+	return true
+}
+
+// waitTimeout is the deadline event of a Cond.WaitUntil. It fires only if
+// no Signal claimed the proc first: Signal removes the waiter synchronously,
+// so membership decides the winner. The proc runs right after this callback
+// returns, ahead of any other event at the same time.
+func waitTimeout(arg any) {
+	p := arg.(*Proc)
+	if p.waitCond.remove(p) {
+		p.timedOut = true
+		p.s.direct = p
+	}
 }
 
 // Queue is an unbounded FIFO mailbox. Push may be called from any context;

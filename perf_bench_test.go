@@ -84,9 +84,10 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "cancels/sec")
 }
 
-// BenchmarkEngineProcSleep measures the proc park/resume handoff: one proc
-// sleeping in a tight loop, i.e. two channel operations plus the timer
-// machinery per park.
+// BenchmarkEngineProcSleep measures a park that resumes the same proc: one
+// proc sleeping in a tight loop. The parking proc runs the event loop
+// itself and finds its own wakeup next, so a park costs the timer machinery
+// and no goroutine switch.
 func BenchmarkEngineProcSleep(b *testing.B) {
 	const parks = 4096
 	b.ReportAllocs()
@@ -107,6 +108,42 @@ func BenchmarkEngineProcSleep(b *testing.B) {
 		b.Fatalf("parked %d times, want %d", total, b.N*parks)
 	}
 	b.ReportMetric(float64(b.N*parks)/b.Elapsed().Seconds(), "parks/sec")
+}
+
+// BenchmarkEngineProcPingPong measures the proc-to-proc handoff that
+// dominates request/response traffic: two procs alternating through a pair
+// of semaphores, so every park resumes the other proc and costs one
+// goroutine switch.
+func BenchmarkEngineProcPingPong(b *testing.B) {
+	const rounds = 4096
+	b.ReportAllocs()
+	b.ResetTimer()
+	total := 0
+	for i := 0; i < b.N; i++ {
+		s := sim.New()
+		ping := s.NewSemaphore("ping", 0)
+		pong := s.NewSemaphore("pong", 0)
+		s.Spawn("a", func(p *sim.Proc) {
+			for k := 0; k < rounds; k++ {
+				ping.V()
+				pong.P(p)
+			}
+		})
+		s.Spawn("b", func(p *sim.Proc) {
+			for k := 0; k < rounds; k++ {
+				ping.P(p)
+				pong.V()
+				total++
+			}
+		})
+		s.Run(0)
+	}
+	b.StopTimer()
+	if total != b.N*rounds {
+		b.Fatalf("completed %d rounds, want %d", total, b.N*rounds)
+	}
+	// Each round is two handoffs: a to b and back.
+	b.ReportMetric(float64(2*b.N*rounds)/b.Elapsed().Seconds(), "switches/sec")
 }
 
 // ---------------------------------------------------------------------------
