@@ -6,6 +6,7 @@ package ulp
 // along on existing scenarios without perturbing virtual time.
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"ulp/internal/conform"
 	"ulp/internal/kern"
 	"ulp/internal/stacks"
+	"ulp/internal/trace"
 	"ulp/internal/wire"
 )
 
@@ -33,17 +35,32 @@ func enableConformance(t *testing.T, w *World) *conform.Checker {
 }
 
 // TestConformanceEchoAllOrganizations checks the clean-path traces of every
-// organization and network against the RFC 793 relation.
+// organization and network against the RFC 793 relation. Both ends must be
+// traced: the server's accepted connection as well as the client's.
 func TestConformanceEchoAllOrganizations(t *testing.T) {
 	for _, org := range []Org{OrgUserLib, OrgInKernel, OrgSingleServer} {
 		for _, net := range []Net{Ethernet, AN1} {
 			t.Run(org.String()+"/"+net.String(), func(t *testing.T) {
 				w := NewWorld(Config{Org: org, Net: net})
 				ck := enableConformance(t, w)
+				states := make(map[string]int) // host -> TCPState events
+				w.Bus().Subscribe(func(ev trace.Event) {
+					if ev.Kind == trace.TCPState {
+						// Labels are "host ..." or "host/app ...".
+						host, _, _ := strings.Cut(ev.Conn, " ")
+						host, _, _ = strings.Cut(host, "/")
+						states[host]++
+					}
+				})
 				echoTransfer(t, w, 30000, stacks.Options{}, 5*time.Minute)
 				w.Run(5 * time.Minute) // let TIME_WAIT expire under the checker
 				if ck.Coverage().Count() == 0 {
 					t.Error("checker observed no transitions; tracing not wired")
+				}
+				for i := 0; i < 2; i++ {
+					if h := w.Node(i).Host.Name; states[h] == 0 {
+						t.Errorf("no tcp-state events from %s; its connections are not traced", h)
+					}
 				}
 			})
 		}

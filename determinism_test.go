@@ -4,12 +4,13 @@ package ulp
 // records, recycled packet buffers, compiled demux predicates, and
 // word-at-a-time checksum are all wall-clock optimizations of the
 // simulator itself: virtual-time behaviour must be bit-identical to the
-// reference implementations, and identical from run to run. This test
-// pins that invariant the strongest way available short of checked-in
-// golden files — it executes a seeded chaos scenario (loss, duplication,
-// corruption, reordering, and a mid-stream crash all active) twice and
-// requires the two frame-level event traces to match exactly: same
-// frames, same bytes, same virtual timestamps, same order.
+// reference implementations, and identical from run to run. The tests here
+// execute seeded chaos scenarios (loss, duplication, corruption,
+// reordering, and a mid-stream crash all active) twice and require the two
+// frame-level event traces to match exactly: same frames, same bytes, same
+// virtual timestamps, same order. They compare a run with itself; the
+// checked-in golden digests in golden_test.go additionally pin every
+// organization's frame trace across code changes.
 //
 // Anything order-sensitive that the optimizations touch feeds this trace:
 // event-heap pops decide frame timing, buffer recycling could leak stale

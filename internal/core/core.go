@@ -205,9 +205,21 @@ func newLibrary(s *sim.Sim, app *kern.Domain) *Library {
 	}
 }
 
+// spawnTimers starts the library's tick drivers. Classic mode walks every
+// connection in deterministic port order (raw map ranging would let two
+// connections swap their tick-driven transmissions between runs); wheel
+// mode touches only connections whose timer fires. Each connection's own
+// engine is held across its tick or fire alone.
 func (l *Library) spawnTimers() {
-	l.app.Spawn("lib-fast", l.fastTimer)
-	l.app.Spawn("lib-slow", l.slowTimer)
+	stacks.TickTimers{
+		Wheel: func() *stacks.TCPWheel { return l.wheel },
+		Scan: func(visit func(*tcp.Conn, any)) {
+			for _, c := range l.sortedConns() {
+				visit(c.tc, c)
+			}
+		},
+		ConnEngine: func(owner any) *stacks.Engine { return owner.(*Conn).eng },
+	}.Spawn(l.app, "lib")
 }
 
 // batchItem is one control request queued for coalescing.
@@ -294,8 +306,7 @@ type Conn struct {
 
 	went *stacks.WheelEnt // timing-wheel registration (nil in tick mode)
 
-	cur  *kern.Thread
-	lock *sim.Semaphore
+	eng  *stacks.Engine
 	done bool
 }
 
@@ -466,7 +477,7 @@ func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options
 		opts:    opts,
 		peerHW:  ho.PeerHW,
 		peerBQI: ho.PeerBQI,
-		lock:    l.s.NewSemaphore("conn-engine", 1),
+		eng:     stacks.NewEngine(l.s, "conn-engine"),
 	}
 	tc := tcp.Restore(ho.Snap, tcp.Callbacks{})
 	c.tc = tc
@@ -507,10 +518,7 @@ func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options
 // calling thread, headers built in the shared region, then the specialized
 // kernel entry with the send capability.
 func (c *Conn) transmit(seg *stacks.Seg) {
-	t := c.cur
-	if t == nil {
-		panic("core: engine transmit outside runEngine")
-	}
+	t := c.eng.Thread()
 	t.Compute(stacks.SegCost(c.lib.host, seg.PayloadLen, c.opts.NoChecksum))
 	ih := ipv4.Header{
 		ID: c.lib.ids.Next(), DF: true, TTL: 64,
@@ -674,21 +682,7 @@ func (c *Conn) inputThread(t *kern.Thread) {
 // so the buffer goes back to the free list when processing completes.
 func (c *Conn) inputFrame(t *kern.Thread, b *pkt.Buf) {
 	defer b.Release()
-	var et link.EtherType
-	if c.lib.nif.IsAN1() {
-		h, err := link.DecodeAN1(b)
-		if err != nil {
-			return
-		}
-		et = h.Type
-	} else {
-		h, err := link.DecodeEth(b)
-		if err != nil {
-			return
-		}
-		et = h.Type
-	}
-	if et != link.TypeIPv4 {
+	if et, err := c.lib.nif.StripLink(b); err != nil || et != link.TypeIPv4 {
 		return
 	}
 	ih, err := ipv4.Decode(b)
@@ -703,20 +697,14 @@ func (c *Conn) inputFrame(t *kern.Thread, b *pkt.Buf) {
 	c.runEngine(t, func() { c.tc.Input(th, b.Bytes()) })
 }
 
+// runEngine runs an engine operation under the connection's engine,
+// synced with the timing wheel in wheel mode (see TCPWheel.Run).
 func (c *Conn) runEngine(t *kern.Thread, fn func()) {
-	c.lock.P(t.Proc)
-	c.cur = t
-	if c.went != nil {
-		// Catch the tick counters up to the wheel clock before the engine
-		// reads them, and put whatever fn arms onto the wheel afterwards.
-		c.lib.wheel.Sync(c.went)
-		fn()
-		c.lib.wheel.Sync(c.went)
-	} else {
-		fn()
+	if c.went == nil {
+		c.eng.Run(t, fn)
+		return
 	}
-	c.cur = nil
-	c.lock.V()
+	c.eng.Run(t, func() { c.lib.wheel.Run(c.went, fn) })
 }
 
 // teardown releases registry-held resources once the engine fully closes.
@@ -750,16 +738,7 @@ func (c *Conn) Write(t *kern.Thread, p []byte) (int, error) {
 // Close implements stacks.Conn: the orderly release runs entirely in the
 // library ("under normal operation, connection shutdown is done by the
 // protocol library").
-func (c *Conn) Close(t *kern.Thread) error {
-	c.runEngineFrom(t, func() { c.tc.Close() })
-	return nil
-}
-
-// runEngineFrom charges the socket-call entry then runs the engine.
-func (c *Conn) runEngineFrom(t *kern.Thread, fn func()) {
-	t.Compute(t.Cost().ProcCall)
-	c.runEngine(t, fn)
-}
+func (c *Conn) Close(t *kern.Thread) error { return c.sock.Close(t) }
 
 // Stats implements stacks.Conn.
 func (c *Conn) Stats() tcp.Stats { return c.tc.Stats() }
@@ -791,58 +770,4 @@ func (l *Library) Exit(t *kern.Thread, abnormal bool) {
 			},
 		})
 	}
-}
-
-// fastTimer drives delayed ACKs for all library connections. In wheel
-// mode only connections with a pending delayed ACK are touched; the
-// classic mode walks every connection (in deterministic port order — raw
-// map ranging would let two connections swap their tick-driven
-// transmissions between runs).
-func (l *Library) fastTimer(t *kern.Thread) {
-	cost := &l.host.Cost
-	for {
-		t.Sleep(200 * time.Millisecond)
-		if l.wheel != nil {
-			l.wheel.AdvanceFast(func(e *stacks.WheelEnt, fn func()) {
-				t.Compute(cost.TimerOp)
-				e.Owner.(*Conn).runWheelFire(t, fn)
-			})
-			continue
-		}
-		for _, c := range l.sortedConns() {
-			t.Compute(cost.TimerOp)
-			c.runEngine(t, func() { c.tc.FastTick() })
-		}
-	}
-}
-
-// slowTimer drives the 500 ms protocol timers.
-func (l *Library) slowTimer(t *kern.Thread) {
-	cost := &l.host.Cost
-	for {
-		t.Sleep(500 * time.Millisecond)
-		if l.wheel != nil {
-			l.wheel.AdvanceSlow(func(e *stacks.WheelEnt, fn func()) {
-				t.Compute(cost.TimerOp)
-				e.Owner.(*Conn).runWheelFire(t, fn)
-			})
-			continue
-		}
-		for _, c := range l.sortedConns() {
-			t.Compute(cost.TimerOp)
-			c.runEngine(t, func() { c.tc.SlowTick() })
-		}
-	}
-}
-
-// runWheelFire runs a wheel-fire callback under the engine lock. The fire
-// fn does its own Sync, so this bypasses runEngine's Sync-wrapping (which
-// would double-fire the due counter before fn observes it — harmless but
-// wasteful).
-func (c *Conn) runWheelFire(t *kern.Thread, fn func()) {
-	c.lock.P(t.Proc)
-	c.cur = t
-	fn()
-	c.cur = nil
-	c.lock.V()
 }

@@ -1,11 +1,10 @@
 package registry
 
 import (
-	"time"
-
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
 	"ulp/internal/link"
+	"ulp/internal/netio"
 	"ulp/internal/pkt"
 	"ulp/internal/stacks"
 	"ulp/internal/tcp"
@@ -77,17 +76,18 @@ func (r *Server) inputUDP(t *kern.Thread, h ipv4.Header, data []byte) {
 	if !ok {
 		return // port unreachable: the simplified IP library drops
 	}
-	ih := ipv4.Header{ID: h.ID, TTL: h.TTL, Proto: ipv4.ProtoUDP, Src: h.Src, Dst: h.Dst}
+	r.forward(ub.ch, h, ipv4.ProtoUDP, data)
+}
+
+// forward injects a default-path transport payload into a library channel,
+// re-encoding the IP and link headers so the library-side input path can
+// parse the frame uniformly.
+func (r *Server) forward(ch *netio.Channel, h ipv4.Header, proto uint8, data []byte) {
+	ih := ipv4.Header{ID: h.ID, TTL: h.TTL, Proto: proto, Src: h.Src, Dst: h.Dst}
 	fwd := pkt.FromBytes(r.nif.Mod.Device().HdrLen()+ipv4.HeaderLen, data)
 	ih.Encode(fwd)
-	if r.nif.IsAN1() {
-		lh := link.AN1Header{Dst: r.nif.HW, Src: r.nif.HW, Type: link.TypeIPv4}
-		lh.Encode(fwd)
-	} else {
-		lh := link.EthHeader{Dst: r.nif.HW, Src: r.nif.HW, Type: link.TypeIPv4}
-		lh.Encode(fwd)
-	}
-	ub.ch.Inject(fwd)
+	r.nif.Frame(fwd, r.nif.HW, 0)
+	ch.Inject(fwd)
 }
 
 func (r *Server) inputTCP(t *kern.Thread, h ipv4.Header, data []byte, advBQI uint16) {
@@ -116,19 +116,7 @@ func (r *Server) inputTCP(t *kern.Thread, h ipv4.Header, data []byte, advBQI uin
 	// retransmitted handshake ACK on the AN1): forward into its channel by
 	// rebuilding the frame bytes the channel consumer expects.
 	if xc, ok := r.transferred[tcp.FourTuple{Local: local, Peer: peer}]; ok {
-		// Re-encode IP + link headers so the library-side input path can
-		// parse the frame uniformly.
-		ih := ipv4.Header{ID: h.ID, TTL: h.TTL, Proto: ipv4.ProtoTCP, Src: h.Src, Dst: h.Dst}
-		fwd := pkt.FromBytes(r.nif.Mod.Device().HdrLen()+ipv4.HeaderLen, data)
-		ih.Encode(fwd)
-		if r.nif.IsAN1() {
-			lh := link.AN1Header{Dst: r.nif.HW, Src: r.nif.HW, Type: link.TypeIPv4}
-			lh.Encode(fwd)
-		} else {
-			lh := link.EthHeader{Dst: r.nif.HW, Src: r.nif.HW, Type: link.TypeIPv4}
-			lh.Encode(fwd)
-		}
-		xc.ch.Inject(fwd)
+		r.forward(xc.ch, h, ipv4.ProtoTCP, data)
 		return
 	}
 
@@ -158,7 +146,7 @@ func (r *Server) inputTCP(t *kern.Thread, h ipv4.Header, data []byte, advBQI uin
 			}
 			hc.ourBQI = bqi
 		}
-		tc := tcp.NewConn(r.tcpConfig(l.opts), local, peer, tcp.Callbacks{})
+		tc := tcp.NewConn(stacks.TCPConfig(r.nif, l.opts), local, peer, tcp.Callbacks{})
 		tc.SetISS(r.nextISS())
 		hc.tc = tc
 		r.attach(tc, hc)
@@ -188,55 +176,5 @@ func (r *Server) inputTCP(t *kern.Thread, h ipv4.Header, data []byte, advBQI uin
 	if rst, rb := tcp.MakeRST(th, seg.Len(), r.nif.Headroom(), local, peer); rst != nil {
 		r.nif.WrapIP(rb, ipv4.ProtoTCP, peer.IP)
 		r.resolveAndSend(t, rb, peer.IP, 0, 0)
-	}
-}
-
-// fastTimer drives delayed ACKs for registry-owned pcbs. In wheel mode
-// only pcbs with a pending delayed ACK are touched; the classic mode
-// scans every owned pcb each tick.
-func (r *Server) fastTimer(t *kern.Thread) {
-	c := &r.host.Cost
-	for {
-		t.Sleep(200 * time.Millisecond)
-		if r.wheel != nil {
-			r.runEngine(t, func() {
-				r.wheel.AdvanceFast(func(e *stacks.WheelEnt, fn func()) {
-					t.Compute(c.TimerOp)
-					fn()
-				})
-			})
-			continue
-		}
-		r.runEngine(t, func() {
-			r.owned.Each(func(tc *tcp.Conn) {
-				t.Compute(c.TimerOp)
-				tc.FastTick()
-			})
-		})
-	}
-}
-
-// slowTimer drives protocol timers (including inherited TIME_WAIT pcbs)
-// plus ARP and reassembly expiry.
-func (r *Server) slowTimer(t *kern.Thread) {
-	c := &r.host.Cost
-	for {
-		t.Sleep(500 * time.Millisecond)
-		if r.wheel != nil {
-			r.runEngine(t, func() {
-				r.wheel.AdvanceSlow(func(e *stacks.WheelEnt, fn func()) {
-					t.Compute(c.TimerOp)
-					fn()
-				})
-			})
-		} else {
-			r.runEngine(t, func() {
-				r.owned.Each(func(tc *tcp.Conn) {
-					t.Compute(c.TimerOp)
-					tc.SlowTick()
-				})
-			})
-		}
-		r.nif.Rsm.Expire(r.nifNow())
 	}
 }

@@ -217,9 +217,8 @@ type Server struct {
 	// carried across Restart.
 	wheel *stacks.TCPWheel
 
-	rxq  *sim.Queue[*pkt.Buf]
-	cur  *kern.Thread
-	lock *sim.Semaphore
+	rxq *sim.Queue[*pkt.Buf]
+	eng *stacks.Engine
 
 	// bus receives RegistryRPC events and is handed to every TCP engine
 	// the server creates. Nil-safe.
@@ -366,7 +365,7 @@ func newServer(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, prev *Server, so *sh
 	if so != nil {
 		r.dom.PinCPU(so.cpu)
 	}
-	r.lock = s.NewSemaphore("registry-engine", 1)
+	r.eng = stacks.NewEngine(s, "registry-engine")
 	r.rxq = sim.NewQueue[*pkt.Buf](s)
 	mod.EnableLeases(LeaseTTL)
 	if so == nil {
@@ -381,8 +380,14 @@ func newServer(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, prev *Server, so *sh
 	}
 	r.dom.Spawn("service", r.serviceLoop)
 	r.dom.Spawn("input", r.inputLoop)
-	r.dom.Spawn("tcp-fast", r.fastTimer)
-	r.dom.Spawn("tcp-slow", r.slowTimer)
+	// Protocol timers for owned pcbs, inherited TIME_WAIT pcbs included,
+	// plus reassembly expiry.
+	stacks.TickTimers{
+		Wheel:  func() *stacks.TCPWheel { return r.wheel },
+		Scan:   func(visit func(*tcp.Conn, any)) { r.owned.Each(func(tc *tcp.Conn) { visit(tc, nil) }) },
+		Engine: r.eng,
+		Nif:    r.nif,
+	}.Spawn(r.dom, "tcp")
 	r.dom.Spawn("lease-hb", r.leaseHeartbeat)
 	return r
 }
@@ -628,8 +633,7 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 		}
 		hc.ourBQI = bqi
 	}
-	cfg := r.tcpConfig(req.Opts)
-	tc := tcp.NewConn(cfg, local, req.Remote, tcp.Callbacks{})
+	tc := tcp.NewConn(stacks.TCPConfig(r.nif, req.Opts), local, req.Remote, tcp.Callbacks{})
 	hc.tc = tc
 	r.attach(tc, hc)
 	if err := r.owned.Insert(tc); err != nil {
@@ -721,23 +725,6 @@ func (r *Server) handleInherit(t *kern.Thread, req InheritReq) {
 // Channel setup and handoff
 // ---------------------------------------------------------------------------
 
-// tcpConfig mirrors the library's configuration so handshake state is
-// directly transferable.
-func (r *Server) tcpConfig(opts stacks.Options) tcp.Config {
-	return tcp.Config{
-		MSS:            r.nif.MSS(),
-		SndBufSize:     opts.SndBuf,
-		RcvBufSize:     opts.RcvBuf,
-		Headroom:       r.nif.Headroom(),
-		NoDelay:        opts.NoDelay,
-		NoDelayedAck:   opts.NoDelayedAck,
-		FastRetransmit: true,
-		KeepAliveTicks: opts.KeepAliveTicks,
-		RexmtR1:        opts.RexmtR1,
-		RexmtR2:        opts.RexmtR2,
-	}
-}
-
 // setupChannel creates the shared region, ring, capability, template and
 // demux binding for an endpoint ("nearly 3.4 ms are spent in setting up
 // user channels to the network device").
@@ -823,10 +810,7 @@ func (r *Server) releaseAdmit(hc *hsConn) {
 
 // transmit is the registry's un-optimized send path.
 func (r *Server) transmit(seg *pkt.Buf, tc *tcp.Conn, hc *hsConn, h tcp.Header) {
-	t := r.cur
-	if t == nil {
-		panic("registry: engine transmit outside runEngine")
-	}
+	t := r.eng.Thread()
 	c := t.Cost()
 	t.Compute(c.RegistrySendPath)
 	t.Compute(stacks.SegCost(r.host, seg.Len(), false))
@@ -866,7 +850,7 @@ func (r *Server) established(tc *tcp.Conn, hc *hsConn) {
 		// double-release its resources.
 		return
 	}
-	t := r.cur
+	t := r.eng.Thread()
 	c := t.Cost()
 	// On Ethernet the channel and its demultiplexing binding are created
 	// now, as establishment completes.
@@ -877,7 +861,7 @@ func (r *Server) established(tc *tcp.Conn, hc *hsConn) {
 		}
 	}
 	// Narrow the template now that the peer link address is known.
-	if hw, ok := r.nif.ARP.Lookup(r.nifNow(), tc.Peer().IP); ok {
+	if hw, ok := r.nif.ARP.Lookup(r.nif.Now(), tc.Peer().IP); ok {
 		hc.peerHW = hw
 	}
 	tmpl := netio.Template{
@@ -981,33 +965,14 @@ func (r *Server) abortSetup(tc *tcp.Conn, hc *hsConn, err error) {
 	}
 }
 
-func (r *Server) nifNow() uint64 {
-	return uint64(time.Duration(r.host.S.Now()) / (500 * time.Millisecond))
-}
-
-func (r *Server) runEngine(t *kern.Thread, fn func()) {
-	r.lock.P(t.Proc)
-	r.cur = t
-	fn()
-	r.cur = nil
-	r.lock.V()
-}
-
-// runConn runs an engine operation on one owned pcb. In wheel mode the
-// connection's tick counters are synced to the wheel clock before fn reads
-// them, and whatever fn arms is synced back onto the wheel afterwards; the
-// exit Sync is a no-op if a callback inside fn already dropped the entry
-// (the engine is Closed, so nothing re-arms).
+// runConn runs an engine operation on one owned pcb, synced with the
+// timing wheel in wheel mode (see TCPWheel.Run).
 func (r *Server) runConn(t *kern.Thread, hc *hsConn, fn func()) {
 	if hc == nil || hc.went == nil {
-		r.runEngine(t, fn)
+		r.eng.Run(t, fn)
 		return
 	}
-	r.runEngine(t, func() {
-		r.wheel.Sync(hc.went)
-		fn()
-		r.wheel.Sync(hc.went)
-	})
+	r.eng.Run(t, func() { r.wheel.Run(hc.went, fn) })
 }
 
 // ---------------------------------------------------------------------------

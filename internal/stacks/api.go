@@ -1,11 +1,20 @@
 // Package stacks defines the organization-independent socket interface of
-// Figure 1 and implements the two monolithic baselines the paper measures
-// against: the Ultrix-style in-kernel organization and the Mach/UX-style
-// single-server organization (with mapped device). The paper's proposed
-// user-level library organization lives in internal/core and implements the
-// same interface, so experiments are an "apples to apples" comparison: the
-// identical TCP/IP engine runs under all three, and only the structural
-// costs differ.
+// Figure 1 and the pieces every organization shares: the Sock blocking
+// wrapper, the Netif link/IP wiring, the UDP host, the Engine bracket
+// around TCP engine entry, and the TickTimers driver for the BSD 200/500 ms
+// timers (scan or TCPWheel).
+//
+// The two monolithic baselines the paper measures against — the
+// Ultrix-style in-kernel organization and the Mach/UX-style single server
+// with mapped device — are one Shell. NewInKernel and NewSingleServer
+// differ only in the cost policy they install (see policy in shell.go):
+// names, ISS schedule, socket-call and Listen/Connect entry charges, page
+// remap versus copy on write, the server wakeup when a frame reaches an
+// empty input queue, and the reader wakeup on delivery. The paper's
+// proposed user-level library organization lives in internal/core and
+// implements the same interface over the same Engine and TickTimers, so
+// experiments are an "apples to apples" comparison: the identical TCP/IP
+// engine runs under all three, and only the structural costs differ.
 package stacks
 
 import (
@@ -33,8 +42,9 @@ type Options struct {
 	NoChecksum bool
 	// Backlog bounds concurrent handshakes held for a listener; a SYN
 	// arriving beyond it is deterministically dropped (the client's
-	// retransmission retries once capacity frees up). 0 = implementation
-	// default.
+	// retransmission retries once capacity frees up). Only the user-level
+	// organization's registry honours it (0 = registry.DefaultBacklog);
+	// the monolithic Shell ignores it and holds every handshake.
 	Backlog int
 	// KeepAliveTicks enables keepalive probing after that many idle slow
 	// ticks (500 ms each); 0 disables. With it, a dead peer or permanent

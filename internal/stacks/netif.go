@@ -52,8 +52,8 @@ func (n *Netif) MSS() int { return n.Mod.Device().MTU() - ipv4.HeaderLen - 20 }
 // Headroom returns the buffer headroom needed below the TCP/UDP header.
 func (n *Netif) Headroom() int { return n.Mod.Device().HdrLen() + ipv4.HeaderLen }
 
-// now returns the ARP/reassembly coarse clock (500 ms units).
-func (n *Netif) now() uint64 {
+// Now returns the ARP/reassembly coarse clock (500 ms units).
+func (n *Netif) Now() uint64 {
 	return uint64(time.Duration(n.sim.Now()) / (500 * time.Millisecond))
 }
 
@@ -100,7 +100,7 @@ func (n *Netif) Resolve(t *kern.Thread, ippkt *pkt.Buf, dst ipv4.Addr, bqi uint1
 		// No gateway functions (paper): off-subnet traffic is dropped.
 		return
 	}
-	if hw, ok := n.ARP.Lookup(n.now(), dst); ok {
+	if hw, ok := n.ARP.Lookup(n.Now(), dst); ok {
 		n.Frame(ippkt, hw, bqi)
 		tx(t, ippkt)
 		return
@@ -132,12 +132,12 @@ func (n *Netif) InputARP(t *kern.Thread, b *pkt.Buf, tx Transmit) {
 	if err != nil {
 		return
 	}
-	reply, released := n.ARP.Input(n.now(), p)
+	reply, released := n.ARP.Input(n.Now(), p)
 	if reply != nil {
 		n.txARP(t, *reply, p.SenderHW, tx)
 	}
 	for _, q := range released {
-		hw, _ := n.ARP.Lookup(n.now(), p.SenderIP)
+		hw, _ := n.ARP.Lookup(n.Now(), p.SenderIP)
 		n.Frame(q, hw, q.Meta.BQI)
 		tx(t, q)
 	}
@@ -171,7 +171,7 @@ func (n *Netif) InputIP(b *pkt.Buf) (ipv4.Header, []byte, bool) {
 		return ipv4.Header{}, nil, false // not ours; no forwarding
 	}
 	if h.MF || h.FragOff > 0 {
-		hh, data, done := n.Rsm.Insert(n.now(), h, b.Bytes())
+		hh, data, done := n.Rsm.Insert(n.Now(), h, b.Bytes())
 		if !done {
 			return ipv4.Header{}, nil, false
 		}

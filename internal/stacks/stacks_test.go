@@ -122,6 +122,63 @@ func TestListenerCloseReleasesPort(t *testing.T) {
 	}
 }
 
+// TestAcceptedCloseKeepsListenerPort: an accepted connection shares its
+// listener's port reference instead of taking one of its own, so its
+// teardown — through TIME_WAIT and beyond — must leave the port reserved
+// for as long as the listener stays open.
+func TestAcceptedCloseKeepsListenerPort(t *testing.T) {
+	orgs := []struct {
+		name string
+		mk   func(*sim.Sim, *netio.Module, ipv4.Addr) Stack
+	}{
+		{"inkernel", func(s *sim.Sim, m *netio.Module, ip ipv4.Addr) Stack { return NewInKernel(s, m, ip) }},
+		{"singleserver", func(s *sim.Sim, m *netio.Module, ip ipv4.Addr) Stack { return NewSingleServer(s, m, ip) }},
+	}
+	for _, org := range orgs {
+		t.Run(org.name, func(t *testing.T) {
+			s, mods, ips := twoHosts(false)
+			srv := org.mk(s, mods[0], ips[0])
+			cli := org.mk(s, mods[1], ips[1])
+			var relisten error
+			done := false
+			srv.Host().NewDomain("app", false).Spawn("srv", func(th *kern.Thread) {
+				l, err := srv.Listen(th, 80, Options{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				c, _ := l.Accept(th)
+				buf := make([]byte, 64)
+				for {
+					if n, err := c.Read(th, buf); err != nil || n == 0 {
+						break
+					}
+				}
+				c.Close(th)
+				th.Sleep(2 * time.Minute) // past 2MSL: the accepted pcb is gone
+				_, relisten = srv.Listen(th, 80, Options{})
+				done = true
+			})
+			cli.Host().NewDomain("app", false).SpawnAfter(time.Millisecond, "cli", func(th *kern.Thread) {
+				c, err := cli.Connect(th, tcp.Endpoint{IP: ips[0], Port: 80}, Options{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				c.Write(th, []byte("hello"))
+				c.Close(th)
+			})
+			s.RunUntil(5*time.Minute, func() bool { return done })
+			if !done {
+				t.Fatal("server never finished")
+			}
+			if relisten != ErrPortInUse {
+				t.Fatalf("Listen on the open listener's port after an accepted close: err = %v, want %v", relisten, ErrPortInUse)
+			}
+		})
+	}
+}
+
 func TestSingleServerRSTForUnknownPort(t *testing.T) {
 	s, mods, ips := twoHosts(false)
 	_ = NewSingleServer(s, mods[0], ips[0])
@@ -303,6 +360,28 @@ func TestSockBlockingSemantics(t *testing.T) {
 	if !readReturned {
 		t.Fatal("read not released by close")
 	}
+}
+
+// TestEngineThreadOnlyInsideRun: the driving thread is readable inside the
+// bracket and reading it anywhere else panics.
+func TestEngineThreadOnlyInsideRun(t *testing.T) {
+	s := sim.New()
+	h := kern.NewHost(s, "h", costs.Default())
+	eng := NewEngine(s, "test-engine")
+	var runner, inside *kern.Thread
+	runner = h.NewDomain("app", false).Spawn("t", func(th *kern.Thread) {
+		eng.Run(th, func() { inside = eng.Thread() })
+	})
+	s.Run(time.Millisecond)
+	if inside != runner {
+		t.Fatalf("Thread inside Run = %v, want the running thread", inside)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Thread outside Run did not panic")
+		}
+	}()
+	eng.Thread()
 }
 
 func TestSegCostStructure(t *testing.T) {

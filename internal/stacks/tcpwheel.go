@@ -117,6 +117,17 @@ func (w *TCPWheel) Sync(e *WheelEnt) {
 	}
 }
 
+// Run executes fn on one connection's engine, which the caller holds: the
+// tick counters are caught up to the wheel clock before fn reads them, and
+// whatever fn arms goes onto the wheel afterwards. The exit Sync is a no-op
+// if a callback inside fn already dropped the entry (the engine is Closed,
+// so nothing re-arms).
+func (w *TCPWheel) Run(e *WheelEnt, fn func()) {
+	w.Sync(e)
+	fn()
+	w.Sync(e)
+}
+
 // fireSlow runs when the slow wheel reaches the connection's earliest
 // deadline: the driver's exec acquires the engine lock, and Sync both
 // fires the due counter (through the ordinary SlowTick path) and re-arms.
@@ -128,11 +139,7 @@ func (e *WheelEnt) fireSlow() {
 
 // fireFast flushes the pending delayed ACK.
 func (e *WheelEnt) fireFast() {
-	e.w.execFast(e, func() {
-		e.w.Sync(e)
-		e.tc.FastTick()
-		e.w.Sync(e)
-	})
+	e.w.execFast(e, func() { e.w.Run(e, e.tc.FastTick) })
 }
 
 // AdvanceSlow moves the slow wheel one tick, dispatching each due entry

@@ -200,10 +200,11 @@ type Node struct {
 	Mod   *netio.Module
 	IP    ipv4.Addr
 
-	// Exactly one of these is set, by organization.
+	// Exactly one of these is set, by organization: the registry under
+	// OrgUserLib, the monolithic shell under OrgInKernel and
+	// OrgSingleServer.
 	Registry *registry.Server
-	InKernel *stacks.InKernel
-	UXServer *stacks.SingleServer
+	Shell    *stacks.Shell
 
 	// Fed is set (alongside a nil Registry) when the world shards the
 	// control plane (Config.RegistryShards >= 2).
@@ -354,9 +355,9 @@ func NewWorld(cfg Config) *World {
 				}
 			}
 		case OrgInKernel:
-			n.InKernel = stacks.NewInKernel(s, mod, n.IP)
+			n.Shell = stacks.NewInKernel(s, mod, n.IP)
 		case OrgSingleServer:
-			n.UXServer = stacks.NewSingleServer(s, mod, n.IP)
+			n.Shell = stacks.NewSingleServer(s, mod, n.IP)
 		}
 		w.nodes = append(w.nodes, n)
 	}
@@ -576,10 +577,8 @@ func (n *Node) App(name string) *App {
 			a.Lib.EnableTimerWheel()
 		}
 		a.Stack = a.Lib
-	case n.InKernel != nil:
-		a.Stack = n.InKernel
-	case n.UXServer != nil:
-		a.Stack = n.UXServer
+	case n.Shell != nil:
+		a.Stack = n.Shell
 	}
 	if plan := n.world.cfg.Chaos; plan != nil {
 		for _, cp := range plan.Crashes {
@@ -619,11 +618,8 @@ func (n *Node) RestartRegistry() *registry.Server {
 
 // UDP returns the node's datagram service (monolithic organizations).
 func (n *Node) UDP() *stacks.UDPHost {
-	switch {
-	case n.InKernel != nil:
-		return n.InKernel.UDP()
-	case n.UXServer != nil:
-		return n.UXServer.UDP()
+	if n.Shell == nil {
+		return nil
 	}
-	return nil
+	return n.Shell.UDP()
 }
