@@ -284,10 +284,10 @@ func runStats(zerocopy bool) {
 func printOrgs() {
 	fmt.Print(`Figure 1 — Alternative Organizations of Protocols, as realized here:
 
-  In-Kernel (e.g., UNIX/Ultrix)          internal/stacks  (InKernel)
+  In-Kernel (e.g., UNIX/Ultrix)          internal/stacks  (Shell, in-kernel policy)
       protocol + device management in the kernel; socket calls trap.
 
-  Single Server (e.g., Mach 3.0 + UX)    internal/stacks  (SingleServer)
+  Single Server (e.g., Mach 3.0 + UX)    internal/stacks  (Shell, single-server policy)
       protocol suite in one trusted server with a mapped device; every
       socket call is a Mach IPC round trip.
 

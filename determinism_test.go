@@ -1,7 +1,7 @@
 package ulp
 
 // Determinism regression for the wall-clock fast path. The pooled event
-// records, recycled packet buffers, compiled demux predicates, and
+// records, recycled packet buffers, steered demux tables, and
 // word-at-a-time checksum are all wall-clock optimizations of the
 // simulator itself: virtual-time behaviour must be bit-identical to the
 // reference implementations, and identical from run to run. The tests here
@@ -14,9 +14,9 @@ package ulp
 //
 // Anything order-sensitive that the optimizations touch feeds this trace:
 // event-heap pops decide frame timing, buffer recycling could leak stale
-// bytes into frames, and a compiled predicate that disagreed with its
-// interpreter would steer packets — and therefore retransmissions — down
-// a different path.
+// bytes into frames, and a steering table that disagreed with the native
+// predicate would steer packets — and therefore retransmissions — down a
+// different path.
 
 import (
 	"fmt"

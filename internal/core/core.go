@@ -218,7 +218,7 @@ func (l *Library) spawnTimers() {
 				visit(c.tc, c)
 			}
 		},
-		ConnEngine: func(owner any) *stacks.Engine { return owner.(*Conn).eng },
+		ConnEngine: func(owner any) *stacks.Engine { return owner.(*Conn).sock.Eng },
 	}.Spawn(l.app, "lib")
 }
 
@@ -304,9 +304,6 @@ type Conn struct {
 	peerHW  link.Addr
 	peerBQI uint16
 
-	went *stacks.WheelEnt // timing-wheel registration (nil in tick mode)
-
-	eng  *stacks.Engine
 	done bool
 }
 
@@ -477,7 +474,6 @@ func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options
 		opts:    opts,
 		peerHW:  ho.PeerHW,
 		peerBQI: ho.PeerBQI,
-		eng:     stacks.NewEngine(l.s, "conn-engine"),
 	}
 	tc := tcp.Restore(ho.Snap, tcp.Callbacks{})
 	c.tc = tc
@@ -487,13 +483,13 @@ func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options
 	sock := stacks.NewSock(l.s, tc)
 	cost := &l.host.Cost
 	sock.Entry = func(t *kern.Thread) { t.Compute(cost.ProcCall) }
-	sock.Run = c.runEngine
+	sock.Eng = stacks.NewEngine(l.s, "conn-engine")
 	// Send-side data enters the shared region without a per-byte copy.
 	sock.WriteMove = func(t *kern.Thread, n int) { t.Compute(cost.SockbufOp) }
 	sock.ReadMove = func(t *kern.Thread, n int) { t.Compute(cost.Copy(n) + cost.SockbufOp) }
 	c.sock = sock
 
-	cb := sock.Callbacks(func(seg *stacks.Seg) { c.transmit(seg) })
+	cb := sock.Callbacks(func(seg stacks.Seg) { c.transmit(&seg) })
 	innerClosed := cb.OnClosed
 	cb.OnClosed = func(err error) {
 		innerClosed(err)
@@ -504,11 +500,11 @@ func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options
 
 	l.conns[c] = struct{}{}
 	if l.wheel != nil {
-		c.went = l.wheel.Add(tc, c)
+		sock.Went = l.wheel.Add(tc, c)
 		// An empty engine pass syncs the restored counters (the handshake
 		// may have left the keepalive or retransmit timer armed) onto the
 		// wheel.
-		c.runEngine(t, func() {})
+		sock.Eng.RunConn(t, sock.Went, func() {})
 	}
 	l.app.Spawn("conn-input", c.inputThread)
 	return c
@@ -518,7 +514,7 @@ func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options
 // calling thread, headers built in the shared region, then the specialized
 // kernel entry with the send capability.
 func (c *Conn) transmit(seg *stacks.Seg) {
-	t := c.eng.Thread()
+	t := c.sock.Eng.Thread()
 	t.Compute(stacks.SegCost(c.lib.host, seg.PayloadLen, c.opts.NoChecksum))
 	ih := ipv4.Header{
 		ID: c.lib.ids.Next(), DF: true, TTL: 64,
@@ -631,7 +627,7 @@ func (c *Conn) fail(err error) {
 	c.done = true
 	c.ch.Poke()
 	delete(c.lib.conns, c)
-	c.lib.wheel.Drop(c.went)
+	c.lib.wheel.Drop(c.sock.Went)
 	c.tc.SetCallbacks(tcp.Callbacks{})
 	c.sock.Fail(err)
 }
@@ -694,17 +690,7 @@ func (c *Conn) inputFrame(t *kern.Thread, b *pkt.Buf) {
 		return // checksum failure: drop, retransmission recovers
 	}
 	t.Compute(stacks.SegCost(c.lib.host, b.Len(), c.opts.NoChecksum))
-	c.runEngine(t, func() { c.tc.Input(th, b.Bytes()) })
-}
-
-// runEngine runs an engine operation under the connection's engine,
-// synced with the timing wheel in wheel mode (see TCPWheel.Run).
-func (c *Conn) runEngine(t *kern.Thread, fn func()) {
-	if c.went == nil {
-		c.eng.Run(t, fn)
-		return
-	}
-	c.eng.Run(t, func() { c.lib.wheel.Run(c.went, fn) })
+	c.sock.Eng.RunConn(t, c.sock.Went, func() { c.tc.Input(th, b.Bytes()) })
 }
 
 // teardown releases registry-held resources once the engine fully closes.
@@ -715,7 +701,7 @@ func (c *Conn) teardown() {
 	c.ch.Poke()
 	l := c.lib
 	delete(l.conns, c)
-	l.wheel.Drop(c.went)
+	l.wheel.Drop(c.sock.Went)
 	m := kern.Msg{Op: "teardown", ID: l.nextReqID(),
 		Body: registry.TeardownReq{
 			Local: c.tc.Local(), Peer: c.tc.Peer(), Cap: c.cap,
@@ -757,7 +743,7 @@ func (l *Library) Exit(t *kern.Thread, abnormal bool) {
 		c.done = true
 		c.ch.Poke()
 		delete(l.conns, c)
-		l.wheel.Drop(c.went)
+		l.wheel.Drop(c.sock.Went)
 		snap := c.tc.Snapshot()
 		c.tc.SetCallbacks(tcp.Callbacks{}) // detach: the registry owns it now
 		l.svcOwner(c.tc.Local(), c.tc.Peer()).Send(t, kern.Msg{

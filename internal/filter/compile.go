@@ -13,7 +13,7 @@ import "encoding/binary"
 // instructions", synthesized into the kernel); the CSPF and BPF compilers
 // exist to reproduce the paper's interpreter-architecture comparison.
 type Spec struct {
-	// LinkHdrLen is the link header size in bytes (14 Ethernet, 16 AN1).
+	// LinkHdrLen is the link header size in bytes (14 Ethernet, 18 AN1).
 	LinkHdrLen int
 	// Proto is the IPv4 protocol number (6 TCP, 17 UDP).
 	Proto uint8
@@ -28,45 +28,14 @@ type Spec struct {
 }
 
 // Match is the native demultiplexing predicate: the direct-execution code
-// the kernel synthesizes. It handles variable IP header lengths and skips
+// the kernel synthesizes. It handles variable IP header lengths and rejects
 // non-first fragments (whose transport ports are absent).
 func (s Spec) Match(frame []byte) bool {
-	l := s.LinkHdrLen
-	if len(frame) < l+20 {
-		return false
-	}
-	if binary.BigEndian.Uint16(frame[l-2:]) != 0x0800 {
-		return false
-	}
-	ip := frame[l:]
-	if ip[0]>>4 != 4 {
-		return false
-	}
-	if ip[9] != s.Proto {
-		return false
-	}
-	if [4]byte(ip[16:20]) != s.LocalIP {
-		return false
-	}
-	if s.RemoteIP != ([4]byte{}) && [4]byte(ip[12:16]) != s.RemoteIP {
-		return false
-	}
-	if binary.BigEndian.Uint16(ip[6:])&0x1fff != 0 {
-		return false // non-first fragment: no transport header
-	}
-	ihl := int(ip[0]&0x0f) * 4
-	if ihl < 20 || len(ip) < ihl+4 {
-		return false
-	}
-	srcPort := binary.BigEndian.Uint16(ip[ihl:])
-	dstPort := binary.BigEndian.Uint16(ip[ihl+2:])
-	if dstPort != s.LocalPort {
-		return false
-	}
-	if s.RemotePort != 0 && srcPort != s.RemotePort {
-		return false
-	}
-	return true
+	t, ok := Peek(s.LinkHdrLen, frame)
+	return ok && t.Ports && t.Proto == s.Proto &&
+		t.DstIP == s.LocalIP && t.DstPort == s.LocalPort &&
+		(s.RemoteIP == [4]byte{} || t.SrcIP == s.RemoteIP) &&
+		(s.RemotePort == 0 || t.SrcPort == s.RemotePort)
 }
 
 // CompileBPF emits the register-machine form of the predicate, using the

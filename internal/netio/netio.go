@@ -460,37 +460,18 @@ type steerKey struct {
 
 // steerKeys extracts the steering keys from an inbound frame: the fully
 // specified key and its listener form (remote half zeroed). ok is false
-// when the frame cannot hit any steered binding — short, non-IPv4, or a
-// non-first fragment (no transport header) — in which case only the chain
-// can match, mirroring Spec.Match's reject conditions exactly.
+// when the frame cannot hit any steered binding — no IPv4 header, or no
+// readable ports (a non-first fragment) — in which case only the chain can
+// match, mirroring Spec.Match's reject conditions exactly.
 func steerKeys(hdrLen int, frame []byte) (full, wild steerKey, ok bool) {
-	if len(frame) < hdrLen+20 {
-		return
+	t, ok := filter.Peek(hdrLen, frame)
+	if !ok || !t.Ports {
+		return full, wild, false
 	}
-	if uint16(frame[hdrLen-2])<<8|uint16(frame[hdrLen-1]) != 0x0800 {
-		return
-	}
-	ip := frame[hdrLen:]
-	if ip[0]>>4 != 4 {
-		return
-	}
-	if (uint16(ip[6])<<8|uint16(ip[7]))&0x1fff != 0 {
-		return // non-first fragment
-	}
-	ihl := int(ip[0]&0x0f) * 4
-	if ihl < 20 || len(ip) < ihl+4 {
-		return
-	}
-	full = steerKey{
-		proto:      ip[9],
-		localIP:    ipv4.Addr(ip[16:20]),
-		localPort:  uint16(ip[ihl+2])<<8 | uint16(ip[ihl+3]),
-		remoteIP:   ipv4.Addr(ip[12:16]),
-		remotePort: uint16(ip[ihl])<<8 | uint16(ip[ihl+1]),
-	}
-	wild = full
-	wild.remoteIP = ipv4.Addr{}
-	wild.remotePort = 0
+	wild = steerKey{proto: t.Proto, localIP: t.DstIP, localPort: t.DstPort}
+	full = wild
+	full.remoteIP = t.SrcIP
+	full.remotePort = t.SrcPort
 	return full, wild, true
 }
 
@@ -752,7 +733,7 @@ func (m *Module) CreateChannel(from *kern.Domain, spec filter.Spec, tmpl Templat
 	if !from.Privileged {
 		return nil, nil, fmt.Errorf("netio: channel creation from unprivileged domain %s", from)
 	}
-	return m.createChannel(from, &spec, spec.Compile(), tmpl, ringSize, 0)
+	return m.createChannel(from, &spec, spec.Match, tmpl, ringSize, 0)
 }
 
 // CreateChannelBQI is CreateChannel with a previously reserved BQI.
@@ -760,7 +741,7 @@ func (m *Module) CreateChannelBQI(from *kern.Domain, spec filter.Spec, tmpl Temp
 	if !from.Privileged {
 		return nil, nil, fmt.Errorf("netio: channel creation from unprivileged domain %s", from)
 	}
-	return m.createChannel(from, &spec, spec.Compile(), tmpl, ringSize, bqi)
+	return m.createChannel(from, &spec, spec.Match, tmpl, ringSize, bqi)
 }
 
 // CreateRawChannel builds a channel demultiplexed by EtherType alone, for
@@ -783,7 +764,7 @@ func (m *Module) CreateRawChannel(from *kern.Domain, et link.EtherType, tmpl Tem
 
 // createChannel installs the channel. spec, when non-nil, describes the
 // endpoint predicate structurally so software demux can steer it by hash
-// key; match is the compiled predicate used when it cannot (raw channels,
+// key; match is the predicate used when it cannot (raw channels,
 // partial wildcards, or a key collision — the colliding entry chains
 // behind the steered one, preserving first-installed-wins order).
 func (m *Module) createChannel(from *kern.Domain, spec *filter.Spec, match func([]byte) bool, tmpl Template, ringSize int, reservedBQI uint16) (*Capability, *Channel, error) {

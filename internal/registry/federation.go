@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"ulp/internal/chaos"
+	"ulp/internal/filter"
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
 	"ulp/internal/netio"
@@ -198,37 +199,23 @@ func (f *Federation) steer(b *pkt.Buf) {
 // datagrams and anything unparseable go to shard 0; TCP goes to the
 // tuple's static owner.
 func (f *Federation) classify(frame []byte) int {
-	hdrLen := f.mod.Device().HdrLen()
-	if len(frame) < hdrLen {
-		return 0
+	t, ok := filter.Peek(f.mod.Device().HdrLen(), frame)
+	if !ok || t.Proto != ipv4.ProtoTCP {
+		return 0 // ARP, UDP and the rest: shard 0 owns the datagram plane
 	}
-	if uint16(frame[hdrLen-2])<<8|uint16(frame[hdrLen-1]) != 0x0800 {
-		return 0 // ARP and everything non-IP
-	}
-	ip := frame[hdrLen:]
-	if len(ip) < ipv4.HeaderLen || ip[0]>>4 != 4 {
-		return 0
-	}
-	if ip[9] != ipv4.ProtoTCP {
-		return 0 // UDP and friends: shard 0 owns the datagram plane
-	}
-	if (uint16(ip[6])<<8|uint16(ip[7]))&0x3fff != 0 {
+	if t.Frag {
 		// Any fragment (MF set or nonzero offset): a later fragment carries
 		// no TCP header to peek at, so route the whole datagram's fragments
 		// by the IP pair alone — they all land on one shard's reassembler.
-		local := tcp.Endpoint{IP: ipv4.Addr(ip[16:20])}
-		peer := tcp.Endpoint{IP: ipv4.Addr(ip[12:16])}
+		local := tcp.Endpoint{IP: t.DstIP}
+		peer := tcp.Endpoint{IP: t.SrcIP}
 		return int(endpointHash(local, peer) % uint32(len(f.shards)))
 	}
-	ihl := int(ip[0]&0x0f) * 4
-	if ihl < ipv4.HeaderLen || len(ip) < ihl+4 {
+	if !t.Ports {
 		return 0
 	}
-	local := tcp.Endpoint{IP: ipv4.Addr(ip[16:20]),
-		Port: uint16(ip[ihl+2])<<8 | uint16(ip[ihl+3])}
-	peer := tcp.Endpoint{IP: ipv4.Addr(ip[12:16]),
-		Port: uint16(ip[ihl])<<8 | uint16(ip[ihl+1])}
-	return f.ownerEndpoints(local, peer)
+	return f.ownerEndpoints(tcp.Endpoint{IP: t.DstIP, Port: t.DstPort},
+		tcp.Endpoint{IP: t.SrcIP, Port: t.SrcPort})
 }
 
 // ---------------------------------------------------------------------------

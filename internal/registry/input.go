@@ -103,12 +103,15 @@ func (r *Server) inputTCP(t *kern.Thread, h ipv4.Header, data []byte, advBQI uin
 
 	// Registry-owned pcb (handshaking or inherited)?
 	if tc, ok := r.owned.LookupExact(local, peer); ok {
-		hc := r.conns[tc]
-		if hc != nil && advBQI != 0 {
-			// Learn the peer's data-phase BQI from the link header.
-			hc.peerBQI = advBQI
+		var went *stacks.WheelEnt
+		if hc := r.conns[tc]; hc != nil {
+			went = hc.went
+			if advBQI != 0 {
+				// Learn the peer's data-phase BQI from the link header.
+				hc.peerBQI = advBQI
+			}
 		}
-		r.runConn(t, hc, func() { tc.Input(th, seg.Bytes()) })
+		r.eng.RunConn(t, went, func() { tc.Input(th, seg.Bytes()) })
 		return
 	}
 
@@ -162,7 +165,7 @@ func (r *Server) inputTCP(t *kern.Thread, h ipv4.Header, data []byte, advBQI uin
 		}
 		l.pending++
 		hc.inBacklog = true
-		r.runConn(t, hc, func() { tc.Input(th, seg.Bytes()) })
+		r.eng.RunConn(t, hc.went, func() { tc.Input(th, seg.Bytes()) })
 		return
 	}
 

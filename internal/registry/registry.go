@@ -648,7 +648,7 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 	if e, ok := r.reqCache[m.ID]; ok && m.ID != 0 {
 		e.hc = hc // a retry of this id retargets the eventual handoff
 	}
-	r.runConn(t, hc, func() { tc.OpenActive(r.nextISS()) })
+	r.eng.RunConn(t, hc.went, func() { tc.OpenActive(r.nextISS()) })
 	// The reply is sent by the established/closed callbacks.
 }
 
@@ -713,12 +713,12 @@ func (r *Server) handleInherit(t *kern.Thread, req InheritReq) {
 	if req.Abort {
 		// "To guard against an abnormal application termination, the
 		// protocol server issues a reset message to the remote peer."
-		r.runConn(t, hc, func() { tc.Abort() })
+		r.eng.RunConn(t, hc.went, func() { tc.Abort() })
 		return
 	}
 	// Orderly inheritance: close if the application had not, and drive the
 	// remaining states (FIN exchange, TIME_WAIT) from the registry.
-	r.runConn(t, hc, func() { tc.Close() })
+	r.eng.RunConn(t, hc.went, func() { tc.Close() })
 }
 
 // ---------------------------------------------------------------------------
@@ -965,16 +965,6 @@ func (r *Server) abortSetup(tc *tcp.Conn, hc *hsConn, err error) {
 	}
 }
 
-// runConn runs an engine operation on one owned pcb, synced with the
-// timing wheel in wheel mode (see TCPWheel.Run).
-func (r *Server) runConn(t *kern.Thread, hc *hsConn, fn func()) {
-	if hc == nil || hc.went == nil {
-		r.eng.Run(t, fn)
-		return
-	}
-	r.eng.Run(t, func() { r.wheel.Run(hc.went, fn) })
-}
-
 // ---------------------------------------------------------------------------
 // Crash-failure reclamation
 // ---------------------------------------------------------------------------
@@ -1016,7 +1006,7 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 	}
 	for _, hc := range dead {
 		tc := hc.tc
-		r.runConn(t, hc, func() { tc.Abort() })
+		r.eng.RunConn(t, hc.went, func() { tc.Abort() })
 		if hc.ourCap != nil {
 			_ = r.nif.Mod.DestroyChannel(r.dom, hc.ourCap)
 			hc.ourCap = nil

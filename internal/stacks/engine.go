@@ -33,6 +33,17 @@ func (e *Engine) Run(t *kern.Thread, fn func()) {
 	e.lock.V()
 }
 
+// RunConn executes fn holding the engine for one connection's operation:
+// when went is non-nil, the connection is also synced with its timing
+// wheel around fn (see TCPWheel.Run).
+func (e *Engine) RunConn(t *kern.Thread, went *WheelEnt, fn func()) {
+	if went == nil {
+		e.Run(t, fn)
+		return
+	}
+	e.Run(t, func() { went.w.Run(went, fn) })
+}
+
 // Thread returns the thread driving the engine. Engine callbacks run inside
 // Run; reading the driving thread anywhere else is a bug, and panics.
 func (e *Engine) Thread() *kern.Thread {

@@ -218,7 +218,7 @@ func (sh *Shell) attach(s *sim.Sim, tc *tcp.Conn, opts Options, l *listener) *So
 	sock := NewSock(s, tc)
 	c := &sh.host.Cost
 	sock.Entry = sh.pol.entry
-	sock.Run = sh.eng.Run
+	sock.Eng = sh.eng
 	sock.WriteMove = func(t *kern.Thread, n int) {
 		if sh.pol.remap && n >= c.RemapMinUltrix {
 			t.Compute(c.PageRemap + c.SockbufOp)
@@ -228,7 +228,7 @@ func (sh *Shell) attach(s *sim.Sim, tc *tcp.Conn, opts Options, l *listener) *So
 	}
 	sock.ReadMove = func(t *kern.Thread, n int) { t.Compute(c.Copy(n) + c.SockbufOp) }
 
-	cb := sock.Callbacks(func(seg *Seg) { sh.transmit(seg, tc, opts) })
+	cb := sock.Callbacks(func(seg Seg) { sh.transmit(&seg, tc, opts) })
 	if l != nil {
 		inner := cb.OnEstablished
 		cb.OnEstablished = func() {

@@ -20,9 +20,11 @@ type Sock struct {
 
 	// Entry is charged once per socket call (Read/Write/Close).
 	Entry func(t *kern.Thread)
-	// Run brackets engine invocations so the organization can bind the
-	// driving thread for transmit charging; nil means call directly.
-	Run func(t *kern.Thread, fn func())
+	// Eng brackets engine invocations so the organization can bind the
+	// driving thread for transmit charging; nil means call directly. Went,
+	// when set, syncs each invocation with the host's timing wheel.
+	Eng  *Engine
+	Went *WheelEnt
 	// WriteMove and ReadMove are charged per data movement of n bytes
 	// between the application and the protocol's buffers.
 	WriteMove func(t *kern.Thread, n int)
@@ -48,10 +50,10 @@ func NewSock(s *sim.Sim, tc *tcp.Conn) *Sock {
 
 // Callbacks returns the engine callbacks that drive the blocking
 // machinery; send is the organization's transmit path.
-func (s *Sock) Callbacks(send func(seg *Seg)) tcp.Callbacks {
+func (s *Sock) Callbacks(send func(seg Seg)) tcp.Callbacks {
 	return tcp.Callbacks{
 		Send: func(b *pktBuf, h tcp.Header, pl int) {
-			send(&Seg{Buf: b, Hdr: h, PayloadLen: pl})
+			send(Seg{Buf: b, Hdr: h, PayloadLen: pl})
 		},
 		OnEstablished: func() {
 			s.isEst = true
@@ -116,11 +118,11 @@ func (s *Sock) ReadableWaiters() int { return s.readable.Waiters() }
 
 // run invokes an engine operation under the organization's bracket.
 func (s *Sock) run(t *kern.Thread, fn func()) {
-	if s.Run != nil {
-		s.Run(t, fn)
+	if s.Eng == nil {
+		fn()
 		return
 	}
-	fn()
+	s.Eng.RunConn(t, s.Went, fn)
 }
 
 // Read blocks until data or EOF; EOF returns (0, nil).

@@ -48,10 +48,14 @@ func (b *sendBuf) ackTo(una Seq) {
 	if drop <= 0 {
 		return
 	}
-	if drop > len(b.data) {
+	if drop >= len(b.data) {
+		// Everything is acknowledged: rewind rather than slide, so the
+		// next append reuses the storage instead of reallocating it.
 		drop = len(b.data)
+		b.data = b.data[:0]
+	} else {
+		b.data = b.data[drop:]
 	}
-	b.data = b.data[drop:]
 	b.start = b.start.Add(drop)
 }
 

@@ -306,34 +306,23 @@ func TestTableLookup(t *testing.T) {
 	l1 := Endpoint{IP: ipv4.Addr{10, 0, 0, 1}, Port: 80}
 	p1 := Endpoint{IP: ipv4.Addr{10, 0, 0, 2}, Port: 2000}
 	c := NewConn(Config{}, l1, p1, Callbacks{})
-	lst := NewConn(Config{}, Endpoint{IP: ipv4.Addr{10, 0, 0, 1}, Port: 80}, Endpoint{}, Callbacks{})
 
-	if err := tb.InsertListener(lst); err != nil {
-		t.Fatal(err)
-	}
 	if err := tb.Insert(c); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.Insert(c); err == nil {
 		t.Fatal("duplicate insert allowed")
 	}
-	if got, ok := tb.Lookup(l1, p1); !ok || got != c {
+	if got, ok := tb.LookupExact(l1, p1); !ok || got != c {
 		t.Fatal("exact lookup failed")
 	}
 	other := Endpoint{IP: ipv4.Addr{10, 0, 0, 3}, Port: 999}
-	if got, ok := tb.Lookup(l1, other); !ok || got != lst {
-		t.Fatal("listener fallback failed")
-	}
-	if _, ok := tb.Lookup(Endpoint{IP: l1.IP, Port: 81}, other); ok {
-		t.Fatal("lookup on unused port matched")
+	if _, ok := tb.LookupExact(l1, other); ok {
+		t.Fatal("lookup from another peer matched")
 	}
 	tb.Remove(c)
-	if got, ok := tb.Lookup(l1, p1); !ok || got != lst {
-		t.Fatal("after remove, should fall back to listener")
-	}
-	tb.RemoveListener(80)
-	if _, ok := tb.Lookup(l1, p1); ok {
-		t.Fatal("lookup matched after listener removal")
+	if _, ok := tb.LookupExact(l1, p1); ok {
+		t.Fatal("lookup matched after remove")
 	}
 	count := 0
 	tb.Each(func(*Conn) { count++ })

@@ -216,3 +216,26 @@ func TestCrashSweepRevokesBeforeSilence(t *testing.T) {
 		}
 	}
 }
+
+// TestUntracedWorldDetachesPoolBus: the packet pool's trace bus is
+// process-global, so a world built after a traced one must detach it — an
+// untraced world's buffer traffic never reaches the earlier world's
+// subscribers.
+func TestUntracedWorldDetachesPoolBus(t *testing.T) {
+	traced := NewWorld(Config{Org: OrgUserLib, Net: Ethernet})
+	poolEvents := 0
+	traced.EnableTrace().Subscribe(func(ev trace.Event) {
+		if ev.Kind == trace.PoolGet || ev.Kind == trace.PoolPut {
+			poolEvents++
+		}
+	})
+	echoTransfer(t, traced, 4096, stacks.Options{}, 10*time.Second)
+	if poolEvents == 0 {
+		t.Fatal("traced world emitted no pool events")
+	}
+	poolEvents = 0
+	echoTransfer(t, NewWorld(Config{Org: OrgUserLib, Net: Ethernet}), 4096, stacks.Options{}, 10*time.Second)
+	if poolEvents != 0 {
+		t.Fatalf("an untraced world fed %d pool events to a dead world's subscriber", poolEvents)
+	}
+}

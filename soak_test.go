@@ -169,10 +169,6 @@ func TestHistorySoakCensusStable(t *testing.T) {
 			RegistryShards: 4, ZeroCopyRx: true}, 1200},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// The packet pool's trace bus is process-global: a traced
-			// world from an earlier test would keep receiving (and its
-			// subscriber keep storing) this world's pool events.
-			pkt.SetTraceBus(nil)
 			const workers = 8
 			perHost := tc.perHost
 			w := NewWorld(tc.cfg)

@@ -158,21 +158,15 @@ type Config struct {
 	// registry — bit-identical to worlds built before federation existed.
 	// Only OrgUserLib worlds use it.
 	RegistryShards int
-	// AdmissionQuota bounds outstanding connection setups per application
-	// domain in sharded worlds (0 = registry.DefaultAdmissionQuota).
-	AdmissionQuota int
 
 	// ZeroCopyRx switches every module's receive channels to by-reference
 	// delivery: matched frames are handed to the library as refcounted
 	// buffer references plus a fixed-size descriptor in the shared region,
 	// instead of modeling a per-byte kernel→region copy, and doorbell
-	// notifications are batched under DoorbellBatch. Opt-in like Switch
-	// and TimerWheel: legacy worlds keep the classic copy cost profile.
+	// notifications are batched (at most one per 8 posted descriptors
+	// while the library lags). Opt-in like Switch and TimerWheel: legacy
+	// worlds keep the classic copy cost profile.
 	ZeroCopyRx bool
-	// DoorbellBatch bounds doorbell coalescing in zero-copy mode: at most
-	// one notification per this many posted descriptors while the library
-	// lags. Zero means the default (8).
-	DoorbellBatch int
 }
 
 // World is a built simulation: a network segment plus hosts running the
@@ -259,6 +253,10 @@ func NewWorld(cfg Config) *World {
 	if cfg.Hosts == 0 {
 		cfg.Hosts = 2
 	}
+	// The packet pool's trace bus is process-global: detach whatever an
+	// earlier traced world attached, so this world's pool events never
+	// reach a dead world's subscribers. EnableTrace attaches this world's.
+	pkt.SetTraceBus(nil)
 	s := sim.New()
 	var wcfg wire.Config
 	switch cfg.Net {
@@ -300,7 +298,6 @@ func NewWorld(cfg Config) *World {
 		}
 		mod := netio.New(h, dev)
 		mod.ZeroCopyRx = cfg.ZeroCopyRx
-		mod.DoorbellBatch = cfg.DoorbellBatch
 		// The third octet carries the high host bits, so worlds scale past
 		// 254 hosts; for small worlds this is the classic 10.0.0.x.
 		n := &Node{world: w, Index: i, Host: h, Mod: mod,
@@ -309,7 +306,7 @@ func NewWorld(cfg Config) *World {
 		case OrgUserLib:
 			if cfg.RegistryShards >= 2 {
 				n.Fed = registry.NewFederation(s, mod, n.IP, registry.FederationConfig{
-					Shards: cfg.RegistryShards, Quota: cfg.AdmissionQuota})
+					Shards: cfg.RegistryShards})
 				if cfg.TimerWheel {
 					n.Fed.EnableTimerWheel()
 				}
